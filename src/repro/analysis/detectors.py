@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import SeriesError
 from repro.metrics.series import TimeSeries
@@ -341,10 +340,6 @@ def mask_to_events(timestamps: np.ndarray, mask: np.ndarray, scores: np.ndarray,
     return block.events(subjects=(subject,), metric=metric, kind=kind)
 
 
-#: Backwards-compatible alias (pre-engine internal name).
-_mask_to_events = mask_to_events
-
-
 class ThresholdDetector(BlockDetector):
     """Flags samples exceeding a static utilisation threshold."""
 
@@ -376,6 +371,50 @@ class ThresholdDetector(BlockDetector):
         return self._block_mask(timestamps, values)
 
 
+#: Values per slab of the rolling kernels (~256 KiB of float64): a block is
+#: swept a few rows (z-score) or samples (EWMA) at a time, so every pass
+#: over a slab stays in cache.
+_SLAB_VALUES = 32 * 1024
+
+
+def _rolling_mean_std(values: np.ndarray,
+                      window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of every full ``window`` of each row.
+
+    Returns two ``(rows, samples - window + 1)`` arrays; column ``j`` is the
+    window ``values[:, j:j + window]``.  Each window is summed in a fixed
+    left-to-right order (one shifted slice per offset), then the squared
+    deviations from its mean are summed the same way — the classic
+    two-pass std.  So a window's statistics depend only on that window's
+    own values, never on where the block starts or how rows are grouped.
+    Rows are swept in slabs of about ``_SLAB_VALUES`` values.
+    """
+    num_rows, num_samples = values.shape
+    width = num_samples - window + 1
+    mean = np.empty((num_rows, width), dtype=np.float64)
+    std = np.empty((num_rows, width), dtype=np.float64)
+    step = max(1, _SLAB_VALUES // num_samples)
+    scratch = np.empty((min(step, num_rows), width), dtype=np.float64)
+    for lo in range(0, num_rows, step):
+        slab = values[lo:lo + step]
+        total = mean[lo:lo + step]
+        squares = std[lo:lo + step]
+        dev = scratch[:slab.shape[0]]
+        np.add(slab[:, :width], slab[:, 1:1 + width], out=total)
+        for k in range(2, window):
+            np.add(total, slab[:, k:k + width], out=total)
+        np.divide(total, window, out=total)
+        np.subtract(slab[:, :width], total, out=squares)
+        np.multiply(squares, squares, out=squares)
+        for k in range(1, window):
+            np.subtract(slab[:, k:k + width], total, out=dev)
+            np.multiply(dev, dev, out=dev)
+            np.add(squares, dev, out=squares)
+        np.divide(squares, window, out=squares)
+        np.sqrt(squares, out=squares)
+    return mean, std
+
+
 class _ZScoreStreamState:
     """Tail context of an incremental z-score sweep.
 
@@ -394,7 +433,15 @@ class _ZScoreStreamState:
 
 
 class RollingZScoreDetector(BlockDetector):
-    """Flags samples whose rolling z-score exceeds a cut-off."""
+    """Flags samples whose rolling z-score exceeds a cut-off.
+
+    Every full window's mean and std come from :func:`_rolling_mean_std`,
+    which sums the window's values in a fixed left-to-right order.  The
+    statistics of a window therefore depend only on its own values, which
+    is what makes the detector chunk-invariant by construction: the batch
+    sweep and any chunking of the incremental sweep compute each window
+    identically, bit for bit.
+    """
 
     kind = "zscore"
 
@@ -411,24 +458,25 @@ class RollingZScoreDetector(BlockDetector):
     def _block_mask(self, timestamps: np.ndarray,
                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         num_rows, num_samples = values.shape
-        if num_samples < self.window:
+        window = self.window
+        if num_samples < window:
             return (np.zeros((num_rows, num_samples), dtype=bool),
                     np.zeros((num_rows, num_samples), dtype=np.float64))
-        mean = np.empty_like(values)
-        std = np.empty_like(values)
-        windows = sliding_window_view(values, self.window, axis=1)
-        mean[:, self.window - 1:] = windows.mean(axis=2)
-        std[:, self.window - 1:] = windows.std(axis=2)
+        mean, std = _rolling_mean_std(values, window)
+        np.maximum(std, self.min_std, out=std)
+        z = np.empty((num_rows, num_samples), dtype=np.float64)
+        full = z[:, window - 1:]
+        np.subtract(values[:, window - 1:], mean, out=full)
+        np.abs(full, out=full)
+        np.divide(full, std, out=full)
         # The warm-up region is never flagged; its statistics only exist so
         # the score array is fully defined.
-        for i in range(self.window - 1):
+        for i in range(window - 1):
             head = values[:, :i + 1]
-            mean[:, i] = head.mean(axis=1)
-            std[:, i] = head.std(axis=1)
-        std = np.maximum(std, self.min_std)
-        z = np.abs(values - mean) / std
+            z[:, i] = (np.abs(values[:, i] - head.mean(axis=1))
+                       / np.maximum(head.std(axis=1), self.min_std))
         mask = z >= self.z_threshold
-        mask[:, :self.window - 1] = False
+        mask[:, :window - 1] = False
         return mask, z
 
     def make_stream_state(self, num_rows: int) -> _ZScoreStreamState:
@@ -448,11 +496,10 @@ class RollingZScoreDetector(BlockDetector):
         m = joined.shape[1]
         if m >= self.window:
             # Rolling windows over tail + chunk cover exactly the trace
-            # windows ending inside the chunk; the same contiguous layout
-            # as the batch path keeps the statistics bit-identical.
-            windows = sliding_window_view(joined, self.window, axis=1)
-            mean = windows.mean(axis=2)
-            std = np.maximum(windows.std(axis=2), self.min_std)
+            # windows ending inside the chunk, and the shared kernel
+            # computes each from its own values alone.
+            mean, std = _rolling_mean_std(joined, self.window)
+            np.maximum(std, self.min_std, out=std)
             first = max(self.window - 1, k)   # first full-window position
             off = first - (self.window - 1)
             z = np.abs(joined[:, first:] - mean[:, off:]) / std[:, off:]
@@ -488,53 +535,62 @@ class EwmaDetector(BlockDetector):
         self.alpha = alpha
         self.deviation_threshold = deviation_threshold
 
+    def _residuals(self, values: np.ndarray, forecast: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+        """Write ``|value - forecast|`` of every sample of ``values`` to ``out``.
+
+        ``forecast`` is the per-row forecast of the first sample; returns
+        the forecast of the sample after the last one.  The recurrence
+        runs over sample-major (transposed, contiguous) slabs of about
+        ``_SLAB_VALUES`` values, one ``alpha * x + decay * prev`` step per
+        sample — the same arithmetic for every chunking of a trace, so
+        batch and incremental forecasts are bit-identical.
+        """
+        num_rows, n = values.shape
+        step = max(1, min(n, _SLAB_VALUES // max(num_rows, 1)))
+        forecasts = np.empty((step + 1, num_rows), dtype=np.float64)
+        weighted = np.empty((step, num_rows), dtype=np.float64)
+        forecasts[0] = forecast
+        alpha, decay = self.alpha, 1.0 - self.alpha
+        for lo in range(0, n, step):
+            slab = np.ascontiguousarray(values[:, lo:lo + step].T)
+            size = slab.shape[0]
+            prev, scaled = forecasts[:size + 1], weighted[:size]
+            np.multiply(slab, alpha, out=scaled)
+            for i in range(size):
+                np.multiply(prev[i], decay, out=prev[i + 1])
+                np.add(scaled[i], prev[i + 1], out=prev[i + 1])
+            np.subtract(slab, prev[:size], out=scaled)
+            np.abs(scaled, out=scaled)
+            out[:, lo:lo + size] = scaled.T
+            forecasts[0] = prev[size]
+        return forecasts[0].copy()
+
     def _block_mask(self, timestamps: np.ndarray,
                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         num_rows, num_samples = values.shape
-        mask = np.zeros((num_rows, num_samples), dtype=bool)
         scores = np.zeros((num_rows, num_samples), dtype=np.float64)
-        if num_samples < 2:
-            return mask, scores
-        smoothed = np.empty_like(values)
-        smoothed[:, 0] = values[:, 0]
-        alpha = self.alpha
-        decay = 1.0 - alpha
-        for i in range(1, num_samples):
-            smoothed[:, i] = alpha * values[:, i] + decay * smoothed[:, i - 1]
-        # compare each sample against the forecast from the previous one
-        residual = np.abs(values[:, 1:] - smoothed[:, :-1])
-        mask[:, 1:] = residual >= self.deviation_threshold
-        scores[:, 1:] = residual
-        return mask, scores
+        if num_samples >= 2:
+            # The first sample is its own forecast and is never flagged.
+            self._residuals(values[:, 1:], values[:, 0], scores[:, 1:])
+        return scores >= self.deviation_threshold, scores
 
     def make_stream_state(self, num_rows: int) -> _EwmaStreamState:
         return _EwmaStreamState(num_rows)
 
     def _stream_mask(self, state: _EwmaStreamState, timestamps: np.ndarray,
                      values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        num_rows, n = values.shape
-        mask = np.zeros((num_rows, n), dtype=bool)
-        scores = np.zeros((num_rows, n), dtype=np.float64)
-        if n == 0:
-            return mask, scores
-        prev = state.prev
-        start = 0
-        if state.seen == 0:
-            prev = values[:, 0].copy()
-            start = 1
-        alpha, decay = self.alpha, 1.0 - self.alpha
-        # Same per-column recurrence as the batch kernel (vectorized across
-        # rows), so the smoothed sequence — and hence every residual — is
-        # bit-identical however the trace is chunked.
-        for i in range(start, n):
-            column = values[:, i]
-            residual = np.abs(column - prev)
-            mask[:, i] = residual >= self.deviation_threshold
-            scores[:, i] = residual
-            prev = alpha * column + decay * prev
-        state.prev = np.asarray(prev, dtype=np.float64)
-        state.seen += n
-        return mask, scores
+        n = values.shape[1]
+        scores = np.zeros(values.shape, dtype=np.float64)
+        if n:
+            # Like the batch kernel: the trace's first sample is its own
+            # forecast and is never flagged, whichever chunk it arrives in.
+            start = 1 if state.seen == 0 else 0
+            forecast = values[:, 0] if start else state.prev
+            state.prev = self._residuals(values[:, start:], forecast,
+                                         scores[:, start:])
+            state.seen += n
+        return scores >= self.deviation_threshold, scores
 
 
 class FlatlineDetector(BlockDetector):

@@ -63,9 +63,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.core import RunResult
     from repro.pipeline.spec import SourceSpec
 
-#: Bump when the entry layout or key recipe changes; old entries are
-#: silently ignored (and eventually pruned).
-RESULT_CACHE_VERSION = 1
+#: Bump when the entry layout, the key recipe or a detector kernel's
+#: arithmetic changes; old entries are silently ignored (and eventually
+#: pruned).  Version 2: the rolling z-score kernel sums each window in a
+#: fixed order, so its scores differ from version 1's in the last ULPs.
+RESULT_CACHE_VERSION = 2
 ENTRY_SUFFIX = ".npz"
 
 #: The array names one detection block serialises to (``d{i}:{name}``).

@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.analysis.detectors import (
+    _SLAB_VALUES,
     AnomalyEvent,
     EwmaDetector,
     RollingZScoreDetector,
     ThresholdDetector,
+    _rolling_mean_std,
     detect_all,
     merge_events,
 )
 from repro.errors import SeriesError
 from repro.metrics.series import TimeSeries
+from repro.metrics.store import MetricStore
 
 
 def flat_with_spike(level=20.0, spike=95.0, n=50, spike_at=30, width=3) -> TimeSeries:
@@ -94,6 +100,128 @@ class TestEwmaDetector:
             EwmaDetector(alpha=0.0)
         with pytest.raises(SeriesError):
             EwmaDetector(deviation_threshold=-1)
+
+
+SPECIALS = (np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def metric_blocks(draw, *, min_samples=2):
+    """A read-only, non-contiguous ``metric_block`` view of a random store.
+
+    Up to 200 rows × 400 samples, so the widest blocks span several
+    ``_SLAB_VALUES`` row slabs; a few NaN/inf cells are planted.
+    """
+    rows = draw(st.integers(1, 200))
+    samples = draw(st.integers(min_samples, 400))
+    scale = draw(st.sampled_from((1.0, 100.0, 1e6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    store = MetricStore([f"m{i}" for i in range(rows)],
+                        np.arange(samples) * 60.0)
+    store.data[:] = rng.uniform(-scale, scale, store.data.shape)
+    metric = draw(st.sampled_from(store.metrics))
+    position = store.metrics.index(metric)
+    for row, sample, value in draw(st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, samples - 1),
+                      st.sampled_from(SPECIALS)), max_size=6)):
+        store.data[row, position, sample] = value
+    store.data.flags.writeable = False
+    block = store.metric_block(metric)
+    assert not block.flags.writeable
+    assert rows == 1 or not block.flags.c_contiguous
+    return block
+
+
+def reference_mean_std(values, window):
+    windows = sliding_window_view(values, window, axis=1)
+    return windows.mean(axis=2), windows.std(axis=2)
+
+
+def assert_matches_reference(values, window):
+    with np.errstate(invalid="ignore"):   # inf - inf inside planted windows
+        mean, std = _rolling_mean_std(values, window)
+        want_mean, want_std = reference_mean_std(values, window)
+    # Summation error is bounded relative to the magnitudes summed, not to
+    # the result, so the absolute slack scales with the block's values.
+    finite = values[np.isfinite(values)]
+    atol = 1e-12 * (float(np.abs(finite).max()) if finite.size else 1.0)
+    np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(std, want_std, rtol=1e-12, atol=atol)
+
+
+class TestRollingMeanStd:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sliding_window_reference(self, data):
+        values = data.draw(metric_blocks())
+        assert_matches_reference(values, window=data.draw(
+            st.integers(2, values.shape[1])))
+
+    @pytest.mark.parametrize("window", (2, 12, 399))
+    def test_wide_block_spans_several_slabs(self, window):
+        rng = np.random.default_rng(window)
+        values = rng.uniform(0.0, 100.0, (200, 400))
+        assert values.shape[0] > 2 * (_SLAB_VALUES // values.shape[1])
+        assert_matches_reference(values, window)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_window_stats_depend_only_on_the_window(self, data):
+        """Suffixes and row subsets reproduce the full sweep bit for bit."""
+        values = data.draw(metric_blocks())
+        window = data.draw(st.integers(2, values.shape[1]))
+        with np.errstate(invalid="ignore"):
+            mean, std = _rolling_mean_std(values, window)
+            skip = data.draw(st.integers(0, values.shape[1] - window))
+            tail_mean, tail_std = _rolling_mean_std(values[:, skip:], window)
+            np.testing.assert_array_equal(tail_mean, mean[:, skip:])
+            np.testing.assert_array_equal(tail_std, std[:, skip:])
+            lo = data.draw(st.integers(0, values.shape[0] - 1))
+            row_mean, row_std = _rolling_mean_std(values[lo:], window)
+            np.testing.assert_array_equal(row_mean, mean[lo:])
+            np.testing.assert_array_equal(row_std, std[lo:])
+
+
+def ewma_column_loop(values, alpha, threshold):
+    """The original EWMA kernel: one strided column per recurrence step."""
+    num_rows, num_samples = values.shape
+    mask = np.zeros((num_rows, num_samples), dtype=bool)
+    scores = np.zeros((num_rows, num_samples), dtype=np.float64)
+    if num_samples < 2:
+        return mask, scores
+    smoothed = np.empty_like(values)
+    smoothed[:, 0] = values[:, 0]
+    decay = 1.0 - alpha
+    for i in range(1, num_samples):
+        smoothed[:, i] = alpha * values[:, i] + decay * smoothed[:, i - 1]
+    residual = np.abs(values[:, 1:] - smoothed[:, :-1])
+    mask[:, 1:] = residual >= threshold
+    scores[:, 1:] = residual
+    return mask, scores
+
+
+class TestEwmaKernel:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_column_loop(self, data):
+        values = data.draw(metric_blocks(min_samples=1))
+        alpha = data.draw(st.floats(0.01, 1.0))
+        detector = EwmaDetector(alpha=alpha, deviation_threshold=15.0)
+        with np.errstate(invalid="ignore"):
+            want_mask, want_scores = ewma_column_loop(values, alpha, 15.0)
+            block = detector.detect_block(np.arange(values.shape[1]) * 60.0,
+                                          values)
+            np.testing.assert_array_equal(block.mask, want_mask)
+            np.testing.assert_array_equal(block.scores, want_scores)
+
+            # Any chunking of the incremental kernel gives the same bits.
+            chunk = data.draw(st.integers(1, values.shape[1]))
+            state = detector.make_stream_state(values.shape[0])
+            streamed = [detector._stream_mask(state, None,
+                                              values[:, lo:lo + chunk])[1]
+                        for lo in range(0, values.shape[1], chunk)]
+            np.testing.assert_array_equal(np.concatenate(streamed, axis=1),
+                                          want_scores)
 
 
 class TestDetectAllAndMerge:

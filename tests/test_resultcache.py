@@ -24,6 +24,7 @@ from repro.pipeline import (
     ResultCache,
     ResultCacheOptions,
     SourceSpec,
+    resultcache,
     run_key,
     source_key,
 )
@@ -194,6 +195,35 @@ class TestKeying:
             plans=(), sinks=(), result_cache=options).run()
         assert by_plans.timings["result_cache"] == "bypass"
         assert not list((tmp_path / "cache").glob("*.npz"))
+
+
+class TestVersioning:
+    """Entries from an older ledger version are stale, never served."""
+
+    def test_version_1_entry_is_a_miss_and_recomputes(self, tmp_path,
+                                                      monkeypatch):
+        # Version 1 entries hold z-scores from the pre-fixed-order kernel,
+        # which differ from today's in the last ULPs.
+        cache_dir = tmp_path / "cache"
+        spec = spec_for(cache_dir, detectors="zscore+ewma")
+        monkeypatch.setattr(resultcache, "RESULT_CACHE_VERSION", 1)
+        old = Pipeline.from_spec(spec).run()
+        assert old.timings["result_cache"] == "miss"
+        (old_entry,) = cache_dir.glob("*.npz")
+        monkeypatch.undo()
+
+        assert resultcache.RESULT_CACHE_VERSION > 1
+        rerun = Pipeline.from_spec(spec).run()
+        assert rerun.timings["result_cache"] == "miss"
+        assert rerun.timings["detect_s"] > 0.0
+        assert_runs_identical(old, rerun)
+        assert len(list(cache_dir.glob("*.npz"))) == 2
+        assert Pipeline.from_spec(spec).run().timings["result_cache"] == "hit"
+
+        # Even planted in the current key's slot, a version-1 header misses.
+        (new_entry,) = set(cache_dir.glob("*.npz")) - {old_entry}
+        new_entry.write_bytes(old_entry.read_bytes())
+        assert ResultCache(cache_dir).load(new_entry.stem) is None
 
 
 class TestCorruptEntriesReadAbsent:

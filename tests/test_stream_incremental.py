@@ -135,6 +135,35 @@ class TestEngineIncrementalGolden:
             DetectionEngine().stream(["a"], LegacyDetector())
 
 
+class TestMultiSlabGolden:
+    """The rolling kernels sweep a block in cache-sized slabs; a fleet wide
+    enough that the batch sweep crosses several slab boundaries must still
+    match every chunking of the incremental sweep."""
+
+    @pytest.fixture(scope="class")
+    def wide_store(self):
+        return generate_trace(fast_config(
+            "machine-failure+network-storm", seed=SEED, num_machines=200,
+            num_jobs=40, horizon_s=24 * 3600)).usage
+
+    @pytest.mark.parametrize("detector", ("zscore", "ewma"))
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_incremental_equals_batch(self, detector, chunk, wide_store):
+        from repro.analysis.detectors import _SLAB_VALUES
+
+        store = wide_store
+        assert store.num_machines > 2 * (_SLAB_VALUES // store.num_samples)
+        engine = DetectionEngine()
+        batch = engine.run(store, detector)
+        assert batch.num_events > 0
+        state = engine.stream(store.machine_ids, detector)
+        for lo, hi in chunk_bounds(store.num_samples, chunk):
+            engine.run_incremental(state, store.sample_slice(lo, hi))
+        assert state.events() == batch.events(), (
+            f"{detector}/chunk={chunk} diverged from batch")
+        assert state.flagged_machines() == batch.flagged_machines()
+
+
 class TestMonitorChunkInvariance:
     def _sample_loop_monitor(self, store, config):
         from repro.stream.monitor import iter_frames
